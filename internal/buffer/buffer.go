@@ -15,7 +15,8 @@
 package buffer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/cell"
 )
@@ -23,7 +24,9 @@ import (
 // InputBuffer is an input-side cell store on a line card.
 type InputBuffer interface {
 	// Push enqueues a cell with its destination output port. It reports
-	// false if the buffer rejected (dropped) the cell for lack of space.
+	// false if the buffer rejected (dropped) the cell for lack of space,
+	// or (PerVC) because the cell's circuit still has cells queued toward
+	// a different output.
 	Push(c cell.Cell, output int) bool
 	// Eligible returns the set of output ports for which this input has a
 	// cell eligible for transmission this slot. For FIFO that is just the
@@ -206,35 +209,87 @@ func (f *FIFO) ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64) {
 
 // PerVC is the AN2-style random-access buffer: one queue per virtual
 // circuit. Create with NewPerVC.
+//
+// Layout. Each circuit with queued cells owns a slot in a dense slot
+// array; its cells sit in a power-of-two ring inside the slot. A VCI →
+// slot index is consulted once per Push (Pop consults none). A slot is
+// released to a free list the moment its queue drains, or on Drop and
+// DropAll, and keeps its ring for the next circuit, so the slot array is
+// bounded by the peak number of simultaneously queued circuits however
+// many circuits come and go.
+//
+// Round robin. Each output keeps its active circuits sorted by VCI (with
+// their slots alongside), plus the VCI it served last and whether it has
+// served any. Pop binary-searches for the first active VCI greater than
+// the last-served one, wrapping to the smallest: round-robin in ascending
+// VCI order. The pointer outlives the queue it named, so ForEachRR reports
+// it even after that circuit drains or is dropped.
+//
+// A circuit has a single route through the switch, so all of its queued
+// cells share one output. Push refuses (returns false for) a cell whose
+// output differs from that of the circuit's cells still queued; once the
+// queue drains the circuit may be pushed toward any output.
 type PerVC struct {
-	// queues maps VCI to its cell queue.
-	queues map[cell.VCI]*vcQueue
-	// byOutput maps output port to the circuits with queued cells routed
-	// to it, maintained so Eligible is O(outputs).
-	byOutput map[int]map[cell.VCI]struct{}
 	// perVCLimit bounds each circuit's queue (0 = unbounded). The paper
 	// sizes this to a link round-trip (credit allocation, §5).
 	perVCLimit int
 	total      int
-	// rr tracks the last circuit served per output, for round-robin
-	// fairness among circuits sharing an output.
-	rr map[int]cell.VCI
-	// bits mirrors byOutput as a bitset (bit o set iff some circuit has a
-	// cell queued for output o), maintained incrementally so EligibleBits
-	// is O(1) with no allocation.
+	// index maps each circuit with queued cells to its slot.
+	index map[cell.VCI]int32
+	slots []vcQueue
+	free  []int32
+	// outs[o] is output o's round-robin state; grown on first use.
+	outs []outQueue
+	// bits has bit o set iff outs[o] has an active circuit, maintained
+	// incrementally so EligibleBits is O(1) with no allocation.
 	bits []uint64
-	// free pools emptied vcQueues so a circuit draining and refilling
-	// every few slots does not allocate a fresh queue each time.
-	free []*vcQueue
 }
 
+// vcQueue is one circuit's slot: its cells in a ring of power-of-two
+// length, oldest at head.
 type vcQueue struct {
-	cells  []queued
-	head   int
+	vc     cell.VCI
 	output int
+	cells  []cell.Cell
+	head   int
+	n      int
 }
 
-func (q *vcQueue) len() int { return len(q.cells) - q.head }
+func (q *vcQueue) push(c cell.Cell) {
+	if q.n == len(q.cells) {
+		size := 2 * len(q.cells)
+		if size == 0 {
+			size = 4
+		}
+		ring := make([]cell.Cell, size)
+		k := copy(ring, q.cells[q.head:])
+		copy(ring[k:], q.cells[:q.head])
+		q.cells, q.head = ring, 0
+	}
+	q.cells[(q.head+q.n)&(len(q.cells)-1)] = c
+	q.n++
+}
+
+func (q *vcQueue) pop() cell.Cell {
+	c := q.cells[q.head]
+	q.head = (q.head + 1) & (len(q.cells) - 1)
+	q.n--
+	return c
+}
+
+// at returns the k-th oldest queued cell.
+func (q *vcQueue) at(k int) *cell.Cell {
+	return &q.cells[(q.head+k)&(len(q.cells)-1)]
+}
+
+// outQueue is one output's round-robin state: the circuits with cells
+// queued for it, ascending by VCI, with their slots at the same index.
+type outQueue struct {
+	vcs    []cell.VCI
+	slots  []int32
+	last   cell.VCI
+	served bool
+}
 
 var _ InputBuffer = (*PerVC)(nil)
 
@@ -242,74 +297,85 @@ var _ InputBuffer = (*PerVC)(nil)
 // bounds each circuit's queue; 0 means unbounded.
 func NewPerVC(perVCLimit int) *PerVC {
 	return &PerVC{
-		queues:     make(map[cell.VCI]*vcQueue),
-		byOutput:   make(map[int]map[cell.VCI]struct{}),
+		index:      make(map[cell.VCI]int32),
 		perVCLimit: perVCLimit,
-		rr:         make(map[int]cell.VCI),
 	}
 }
 
-// Push implements InputBuffer. Cells of one circuit must all use the same
-// output (a circuit has a single route through the switch); Push tracks the
-// output of the most recent cell, which the route tables guarantee is
-// constant between reroutes.
+// Push implements InputBuffer. It refuses a cell when the circuit's queue
+// is at its limit, or when the circuit still has cells queued toward a
+// different output (see PerVC). output must be non-negative.
 func (p *PerVC) Push(c cell.Cell, output int) bool {
-	q := p.queues[c.VC]
-	if q == nil {
-		if k := len(p.free); k > 0 {
-			q = p.free[k-1]
-			p.free = p.free[:k-1]
-			q.output = output
-		} else {
-			q = &vcQueue{output: output}
+	if s, ok := p.index[c.VC]; ok {
+		q := &p.slots[s]
+		if q.output != output || (p.perVCLimit > 0 && q.n >= p.perVCLimit) {
+			return false
 		}
-		p.queues[c.VC] = q
+		q.push(c)
+		p.total++
+		return true
 	}
-	if p.perVCLimit > 0 && q.len() >= p.perVCLimit {
-		return false
-	}
-	q.cells = append(q.cells, queued{c: c, output: output})
-	q.output = output
+	s := p.alloc(c.VC, output)
+	p.slots[s].push(c)
+	p.index[c.VC] = s
+	p.activate(output, c.VC, s)
 	p.total++
-	set := p.byOutput[output]
-	if set == nil {
-		set = make(map[cell.VCI]struct{})
-		p.byOutput[output] = set
-	}
-	set[c.VC] = struct{}{}
-	p.setBit(output)
 	return true
 }
 
-// setBit marks output o eligible, growing the bitset as needed.
-func (p *PerVC) setBit(o int) {
-	w := o / 64
+// alloc takes a slot from the free list (or grows the slot array) and
+// binds it to circuit vc.
+func (p *PerVC) alloc(vc cell.VCI, output int) int32 {
+	var s int32
+	if k := len(p.free); k > 0 {
+		s = p.free[k-1]
+		p.free = p.free[:k-1]
+	} else {
+		s = int32(len(p.slots))
+		p.slots = append(p.slots, vcQueue{})
+	}
+	q := &p.slots[s]
+	q.vc, q.output, q.head, q.n = vc, output, 0, 0
+	return s
+}
+
+// activate inserts slot s (circuit vc) into output's sorted active list
+// and marks the output eligible.
+func (p *PerVC) activate(output int, vc cell.VCI, s int32) {
+	for len(p.outs) <= output {
+		p.outs = append(p.outs, outQueue{})
+	}
+	o := &p.outs[output]
+	k, _ := slices.BinarySearch(o.vcs, vc)
+	o.vcs = slices.Insert(o.vcs, k, vc)
+	o.slots = slices.Insert(o.slots, k, s)
+	w := output / 64
 	for len(p.bits) <= w {
 		p.bits = append(p.bits, 0)
 	}
-	p.bits[w] |= 1 << (uint(o) % 64)
+	p.bits[w] |= 1 << (uint(output) % 64)
 }
 
-// clearBit unmarks output o.
-func (p *PerVC) clearBit(o int) {
-	if w := o / 64; w < len(p.bits) {
-		p.bits[w] &^= 1 << (uint(o) % 64)
+// deactivate removes entry k from output's active list, releasing its
+// slot, and unmarks the output once no circuit is left on it.
+func (p *PerVC) deactivate(output, k int) {
+	o := &p.outs[output]
+	s := o.slots[k]
+	delete(p.index, o.vcs[k])
+	o.vcs = slices.Delete(o.vcs, k, k+1)
+	o.slots = slices.Delete(o.slots, k, k+1)
+	p.free = append(p.free, s)
+	if len(o.vcs) == 0 {
+		p.bits[output/64] &^= 1 << (uint(output) % 64)
 	}
 }
 
-// recycle resets an emptied queue and returns it to the free pool.
-func (p *PerVC) recycle(q *vcQueue) {
-	q.cells = q.cells[:0]
-	q.head = 0
-	p.free = append(p.free, q)
-}
-
 // Eligible implements InputBuffer: every output with at least one queued
-// circuit.
+// circuit, ascending.
 func (p *PerVC) Eligible() []int {
-	out := make([]int, 0, len(p.byOutput))
-	for o, set := range p.byOutput {
-		if len(set) > 0 {
+	out := make([]int, 0, len(p.outs))
+	for o := range p.outs {
+		if len(p.outs[o].vcs) > 0 {
 			out = append(out, o)
 		}
 	}
@@ -321,57 +387,33 @@ func (p *PerVC) Eligible() []int {
 func (p *PerVC) EligibleBits() []uint64 { return p.bits }
 
 // Pop implements InputBuffer. Among the circuits queued for the output it
-// serves them round-robin, so one busy circuit cannot monopolize the port.
+// serves them round-robin in ascending VCI order, so one busy circuit
+// cannot monopolize the port.
 func (p *PerVC) Pop(output int) (cell.Cell, bool) {
-	set := p.byOutput[output]
-	if len(set) == 0 {
+	if output < 0 || output >= len(p.outs) || len(p.outs[output].vcs) == 0 {
 		return cell.Cell{}, false
 	}
-	vc := p.pickRR(output, set)
-	q := p.queues[vc]
-	item := q.cells[q.head]
-	q.head++
+	o := &p.outs[output]
+	k := 0
+	if o.served {
+		// The first active VCI above the last-served one, else wrap.
+		var found bool
+		if k, found = slices.BinarySearch(o.vcs, o.last); found {
+			k++
+		}
+		if k == len(o.vcs) {
+			k = 0
+		}
+	}
+	vc := o.vcs[k]
+	q := &p.slots[o.slots[k]]
+	c := q.pop()
 	p.total--
-	if q.len() == 0 {
-		delete(p.queues, vc)
-		p.recycle(q)
-		delete(set, vc)
-		if len(set) == 0 {
-			delete(p.byOutput, output)
-			p.clearBit(output)
-		}
-	} else if q.head > 64 && q.head*2 >= len(q.cells) {
-		n := copy(q.cells, q.cells[q.head:])
-		q.cells = q.cells[:n]
-		q.head = 0
+	o.last, o.served = vc, true
+	if q.n == 0 {
+		p.deactivate(output, k)
 	}
-	p.rr[output] = vc
-	return item.c, true
-}
-
-// pickRR returns the next circuit after the last-served one in ascending
-// VCI order (wrapping), giving round-robin service.
-func (p *PerVC) pickRR(output int, set map[cell.VCI]struct{}) cell.VCI {
-	last, served := p.rr[output]
-	var best, wrap cell.VCI
-	haveBest, haveWrap := false, false
-	for vc := range set {
-		if !haveWrap || vc < wrap {
-			wrap = vc
-			haveWrap = true
-		}
-		if served && vc <= last {
-			continue
-		}
-		if !haveBest || vc < best {
-			best = vc
-			haveBest = true
-		}
-	}
-	if haveBest {
-		return best
-	}
-	return wrap
+	return c, true
 }
 
 // Len implements InputBuffer.
@@ -379,94 +421,92 @@ func (p *PerVC) Len() int { return p.total }
 
 // QueueLen returns the number of cells queued for circuit vc.
 func (p *PerVC) QueueLen(vc cell.VCI) int {
-	q := p.queues[vc]
-	if q == nil {
-		return 0
+	if s, ok := p.index[vc]; ok {
+		return p.slots[s].n
 	}
-	return q.len()
+	return 0
 }
 
 // CountVC implements InputBuffer.
 func (p *PerVC) CountVC(vc cell.VCI) int { return p.QueueLen(vc) }
 
 // Circuits returns the number of circuits with queued cells.
-func (p *PerVC) Circuits() int { return len(p.queues) }
+func (p *PerVC) Circuits() int { return len(p.index) }
 
 // Drop discards all cells of circuit vc (used on teardown/page-out),
-// returning how many were discarded.
+// returning how many were discarded. The output's round-robin pointer is
+// left as it was.
 func (p *PerVC) Drop(vc cell.VCI) int {
-	q := p.queues[vc]
-	if q == nil {
+	s, ok := p.index[vc]
+	if !ok {
 		return 0
 	}
-	n := q.len()
+	q := &p.slots[s]
+	n := q.n
 	p.total -= n
-	delete(p.queues, vc)
-	if set := p.byOutput[q.output]; set != nil {
-		delete(set, vc)
-		if len(set) == 0 {
-			delete(p.byOutput, q.output)
-			p.clearBit(q.output)
-		}
-	}
-	p.recycle(q)
+	k, _ := slices.BinarySearch(p.outs[q.output].vcs, vc)
+	p.deactivate(q.output, k)
 	return n
 }
 
 // ForEach implements InputBuffer: circuits in ascending VCI order, cells
 // in queue order within each circuit.
 func (p *PerVC) ForEach(fn func(c cell.Cell, output int)) {
-	vcs := make([]cell.VCI, 0, len(p.queues))
-	for vc := range p.queues {
-		vcs = append(vcs, vc)
+	order := make([]int32, 0, len(p.index))
+	for o := range p.outs {
+		order = append(order, p.outs[o].slots...)
 	}
-	sort.Slice(vcs, func(i, j int) bool { return vcs[i] < vcs[j] })
-	for _, vc := range vcs {
-		q := p.queues[vc]
-		for _, it := range q.cells[q.head:] {
-			fn(it.c, it.output)
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Compare(p.slots[a].vc, p.slots[b].vc)
+	})
+	for _, s := range order {
+		q := &p.slots[s]
+		for k := 0; k < q.n; k++ {
+			fn(*q.at(k), q.output)
 		}
 	}
 }
 
 // ForEachRR implements InputBuffer: pointers in ascending output order.
 func (p *PerVC) ForEachRR(fn func(output int, vc cell.VCI)) {
-	outs := make([]int, 0, len(p.rr))
-	for o := range p.rr {
-		outs = append(outs, o)
-	}
-	sort.Ints(outs)
-	for _, o := range outs {
-		fn(o, p.rr[o])
+	for o := range p.outs {
+		if p.outs[o].served {
+			fn(o, p.outs[o].last)
+		}
 	}
 }
 
 // ShiftStamps implements InputBuffer.
 func (p *PerVC) ShiftStamps(dt int64, seqShift func(vc cell.VCI) uint64) {
-	for vc, q := range p.queues {
-		var ds uint64
-		if seqShift != nil {
-			ds = seqShift(vc)
-		}
-		for i := q.head; i < len(q.cells); i++ {
-			q.cells[i].c.Stamp.EnqueuedAt += dt
-			q.cells[i].c.Stamp.Seq += ds
+	for o := range p.outs {
+		for _, s := range p.outs[o].slots {
+			q := &p.slots[s]
+			var ds uint64
+			if seqShift != nil {
+				ds = seqShift(q.vc)
+			}
+			for k := 0; k < q.n; k++ {
+				c := q.at(k)
+				c.Stamp.EnqueuedAt += dt
+				c.Stamp.Seq += ds
+			}
 		}
 	}
 }
 
-// DropAll implements InputBuffer.
+// DropAll implements InputBuffer. Round-robin pointers survive, as they
+// do for Drop.
 func (p *PerVC) DropAll() int {
 	n := p.total
-	for vc, q := range p.queues {
-		delete(p.queues, vc)
-		p.recycle(q)
+	clear(p.index)
+	for o := range p.outs {
+		p.outs[o].vcs = p.outs[o].vcs[:0]
+		p.outs[o].slots = p.outs[o].slots[:0]
 	}
-	for o := range p.byOutput {
-		delete(p.byOutput, o)
-	}
-	for w := range p.bits {
-		p.bits[w] = 0
+	clear(p.bits)
+	p.free = p.free[:0]
+	for s := len(p.slots) - 1; s >= 0; s-- {
+		p.free = append(p.free, int32(s))
 	}
 	p.total = 0
 	return n

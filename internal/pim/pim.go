@@ -59,13 +59,24 @@ type Result struct {
 
 // Sequential is the deterministic PIM engine. It is not safe for concurrent
 // use; the slotted simulator owns one per switch.
+//
+// It works on bitsets of ⌈n/64⌉ words: one request column per output (bit
+// i set iff input i requests it), built once per Match, and one grant row
+// per input (bit j set iff output j granted it). An iteration masks each
+// free output's column with the free inputs. A random pick among the c set
+// bits of a column or row draws rng.Intn(c) and takes the k-th set bit in
+// ascending order, so it consumes the random stream exactly as picking
+// from an ascending list would.
 type Sequential struct {
 	rng *rand.Rand
 	// scratch, reused across runs to avoid per-slot allocation:
-	grants     [][]int // grants[i] = outputs granting to input i this iteration
-	requests   [][]int // requests[j] = inputs requesting output j this iteration
-	inMatched  []bool
-	outOwner   []int
+	words      int               // stride of reqCols and grantRows
+	reqCols    []uint64          // reqCols[j*words:][:words] = inputs requesting output j
+	grantRows  []uint64          // grantRows[i*words:][:words] = outputs granting input i
+	pick       []uint64          // a column masked by freeIn
+	granted    []uint64          // inputs with a grant this iteration
+	freeIn     []uint64          // inputs still unmatched
+	freeOut    []uint64          // outputs still unmatched
 	match      matching.Matching // backs Result.Match
 	newMatches []int             // backs Result.NewMatches
 }
@@ -76,11 +87,15 @@ func NewSequential(rng *rand.Rand) *Sequential {
 }
 
 func (s *Sequential) ensure(n int) {
-	if len(s.inMatched) < n {
-		s.grants = make([][]int, n)
-		s.requests = make([][]int, n)
-		s.inMatched = make([]bool, n)
-		s.outOwner = make([]int, n)
+	if len(s.match) < n {
+		w := matching.WordsFor(n)
+		s.words = w
+		s.reqCols = make([]uint64, n*w)
+		s.grantRows = make([]uint64, n*w)
+		s.pick = make([]uint64, w)
+		s.granted = make([]uint64, w)
+		s.freeIn = make([]uint64, w)
+		s.freeOut = make([]uint64, w)
 		s.match = make(matching.Matching, n)
 	}
 }
@@ -93,13 +108,30 @@ func (s *Sequential) Match(r *matching.Requests, maxIter int) Result {
 	s.ensure(n)
 	m := s.match[:n]
 	m.Reset()
+	w := matching.WordsFor(n)
+	for k := 0; k < w; k++ {
+		s.freeIn[k] = ^uint64(0)
+		s.freeOut[k] = ^uint64(0)
+	}
+	if extra := w*64 - n; extra > 0 {
+		s.freeIn[w-1] >>= uint(extra)
+		s.freeOut[w-1] >>= uint(extra)
+	}
+	// Transpose the request rows into per-output columns.
+	sw := s.words
+	cols := s.reqCols[:n*sw]
+	zero(cols)
 	for i := 0; i < n; i++ {
-		s.inMatched[i] = false
-		s.outOwner[i] = -1
+		iw, ibit := i/64, uint64(1)<<(uint(i)%64)
+		for ow, word := range r.Row(i) {
+			for ; word != 0; word &= word - 1 {
+				cols[(ow*64+bits.TrailingZeros64(word))*sw+iw] |= ibit
+			}
+		}
 	}
 	res := Result{Match: m, NewMatches: s.newMatches[:0]}
 	for iter := 0; maxIter == 0 || iter < maxIter; iter++ {
-		added := s.iterate(r, m)
+		added := s.iterate(n, m)
 		res.Iterations++
 		res.NewMatches = append(res.NewMatches, added)
 		if added == 0 {
@@ -110,61 +142,87 @@ func (s *Sequential) Match(r *matching.Requests, maxIter int) Result {
 	return res
 }
 
-// iterate executes one request/grant/accept round, updating m in place and
-// returning the number of new pairs.
-func (s *Sequential) iterate(r *matching.Requests, m matching.Matching) int {
-	n := r.N()
-	// Step 1 — request: each unmatched input requests every output it has
-	// a cell for. (Outputs already matched in a previous iteration ignore
-	// requests; inputs need not know which outputs are taken.) The request
-	// row is walked word-wise so no per-input output slice is built.
-	for j := 0; j < n; j++ {
-		s.requests[j] = s.requests[j][:0]
-	}
-	for i := 0; i < n; i++ {
-		if s.inMatched[i] {
-			continue
-		}
-		for w, word := range r.Row(i) {
-			base := w * 64
-			for word != 0 {
-				j := base + bits.TrailingZeros64(word)
-				word &= word - 1
-				if s.outOwner[j] < 0 {
-					s.requests[j] = append(s.requests[j], i)
-				}
+// iterate executes one request/grant/accept round over the n×n request
+// columns, updating m in place and returning the number of new pairs.
+// Every grant row is zero on entry and is zeroed again as it is consumed.
+func (s *Sequential) iterate(n int, m matching.Matching) int {
+	sw := s.words
+	w := matching.WordsFor(n)
+	pick, granted := s.pick[:w], s.granted[:w]
+	// Steps 1 and 2 — request and grant: each unmatched input requests
+	// every output it has a cell for, and each unmatched output grants one
+	// request uniformly at random. (Outputs already matched in a previous
+	// iteration ignore requests; inputs need not know which outputs are
+	// taken.) An output's requests are its column masked by the free
+	// inputs.
+	for ow := 0; ow < w; ow++ {
+		for outs := s.freeOut[ow]; outs != 0; outs &= outs - 1 {
+			j := ow*64 + bits.TrailingZeros64(outs)
+			col := s.reqCols[j*sw : j*sw+w]
+			c := 0
+			for k := range pick {
+				pick[k] = col[k] & s.freeIn[k]
+				c += bits.OnesCount64(pick[k])
 			}
+			if c == 0 {
+				continue
+			}
+			i := nthSet(pick, s.rng.Intn(c))
+			s.grantRows[i*sw+ow] |= 1 << (uint(j) % 64)
+			granted[i/64] |= 1 << (uint(i) % 64)
 		}
-	}
-	// Step 2 — grant: each unmatched output picks one request uniformly at
-	// random.
-	for i := 0; i < n; i++ {
-		s.grants[i] = s.grants[i][:0]
-	}
-	for j := 0; j < n; j++ {
-		reqs := s.requests[j]
-		if len(reqs) == 0 {
-			continue
-		}
-		pick := reqs[s.rng.Intn(len(reqs))]
-		s.grants[pick] = append(s.grants[pick], j)
 	}
 	// Step 3 — accept: each input with grants accepts one. The paper lets
 	// the input choose arbitrarily; we pick uniformly at random, matching
 	// the hardware's unbiased arbiter.
 	added := 0
-	for i := 0; i < n; i++ {
-		gr := s.grants[i]
-		if len(gr) == 0 {
-			continue
+	for iw := 0; iw < w; iw++ {
+		for ins := granted[iw]; ins != 0; ins &= ins - 1 {
+			i := iw*64 + bits.TrailingZeros64(ins)
+			row := s.grantRows[i*sw : i*sw+w]
+			j := nthSet(row, s.rng.Intn(popcount(row)))
+			zero(row)
+			m[i] = j
+			s.freeIn[iw] &^= 1 << (uint(i) % 64)
+			s.freeOut[j/64] &^= 1 << (uint(j) % 64)
+			added++
 		}
-		j := gr[s.rng.Intn(len(gr))]
-		m[i] = j
-		s.inMatched[i] = true
-		s.outOwner[j] = i
-		added++
+		granted[iw] = 0
 	}
 	return added
+}
+
+// popcount returns the number of set bits in b.
+func popcount(b []uint64) int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// zero clears b word by word: the bitsets here are a few words, too short
+// to repay a call to the runtime's memclr.
+func zero(b []uint64) {
+	for k := 0; k < len(b); k++ {
+		b[k] = 0
+	}
+}
+
+// nthSet returns the index of the k-th (0-based, ascending) set bit of b;
+// k must be below popcount(b).
+func nthSet(b []uint64, k int) int {
+	for wi, w := range b {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return wi*64 + bits.TrailingZeros64(w)
+	}
+	return -1
 }
 
 // Concurrent runs the same protocol with one goroutine per input port and

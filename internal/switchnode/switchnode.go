@@ -135,10 +135,11 @@ type Switch struct {
 	obsMatched   *obs.Histogram
 }
 
+// holdSlot is the departure an input sends this slot; Output is filled in
+// at transfer.
 type holdSlot struct {
-	valid      bool
-	c          cell.Cell
-	guaranteed bool
+	valid bool
+	dep   Departure
 }
 
 // New creates a switch.
@@ -448,8 +449,10 @@ func (s *Switch) ForEachRR(fn func(input int, guaranteed bool, output int, vc ce
 // keeps the slot loop allocation-free.
 func (s *Switch) Step() []Departure {
 	s.xb.Reset()
+	// Only the valid flag needs resetting: every slot that becomes valid
+	// this Step is written whole.
 	for i := range s.hold {
-		s.hold[i] = holdSlot{}
+		s.hold[i].valid = false
 	}
 	framePos := int(s.slot % int64(s.frame.Slots()))
 
@@ -464,7 +467,8 @@ func (s *Switch) Step() []Departure {
 			// Hardware invariant: the schedule is a partial permutation,
 			// so ConnectOne cannot fail.
 			if err := s.xb.ConnectOne(i, j); err == nil {
-				s.hold[i] = holdSlot{valid: true, c: c, guaranteed: true}
+				h := &s.hold[i]
+				h.valid, h.dep.Cell, h.dep.Guaranteed = true, c, true
 				s.stats.GuaranteedSlotsFired++
 			}
 		} else {
@@ -505,22 +509,25 @@ func (s *Switch) Step() []Departure {
 			if err := s.xb.ConnectOne(i, j); err != nil {
 				continue // cannot happen: matching is legal
 			}
-			s.hold[i] = holdSlot{valid: true, c: c}
+			h := &s.hold[i]
+			h.valid, h.dep.Cell, h.dep.Guaranteed = true, c, false
 		}
 	}
 
 	// Phase 3: transfer.
 	out := s.deps[:0]
 	for i := 0; i < s.n; i++ {
-		if !s.hold[i].valid {
+		h := &s.hold[i]
+		if !h.valid {
 			continue
 		}
-		j, err := s.xb.Transfer(i, s.hold[i].c)
+		j, err := s.xb.Transfer(i, h.dep.Cell)
 		if err != nil {
 			continue
 		}
-		out = append(out, Departure{Output: j, Cell: s.hold[i].c, Guaranteed: s.hold[i].guaranteed})
-		if s.hold[i].guaranteed {
+		h.dep.Output = j
+		out = append(out, h.dep)
+		if h.dep.Guaranteed {
 			s.stats.DepartedGuaranteed++
 		} else {
 			s.stats.DepartedBestEffort++
